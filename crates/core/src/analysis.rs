@@ -55,12 +55,12 @@ impl ForwardResult {
 }
 
 /// Population size (eligible services on the analysed platform) below
-/// which [`forward`] dispatches to the naive loop. `BENCH_forward.json`
-/// shows the incremental engine's index construction is pure overhead on
-/// small populations (0.54× at 44 services) while the frontier pays off
-/// from a couple hundred nodes up (7.4× at 201, 7.6× at 400); the
-/// crossover sits between those measurements. Both sides produce
-/// identical results (see the equivalence tests and
+/// which [`crate::query::Engine::Auto`] picks the naive loop.
+/// `BENCH_forward.json` shows the prepared substrate's compile is pure
+/// overhead on small populations (0.37× naive at 44 services, compile
+/// included) while it pays off from a couple hundred nodes up (22.5× at
+/// 201, 42.7× at 400); the crossover sits between those measurements.
+/// Both sides produce identical results (see the equivalence tests and
 /// `forward_crossover_is_result_invariant`).
 pub const NAIVE_CROSSOVER: usize = 50;
 
@@ -593,13 +593,13 @@ mod tests {
             }
             for platform in [Platform::Web, Platform::MobileApp] {
                 let naive = forward_naive(&specs, platform, &ap, &[]);
-                let incremental = Analysis::over(&specs, platform, ap)
+                let prepared = Analysis::over(&specs, platform, ap)
                     .forward(&[])
-                    .engine(Engine::Incremental)
+                    .engine(Engine::Prepared)
                     .run()
                     .unwrap();
                 let auto = forward(&specs, platform, &ap, &[]);
-                assert_eq!(naive, incremental, "n={n} {platform}");
+                assert_eq!(naive, prepared, "n={n} {platform}");
                 assert_eq!(auto, naive, "n={n} {platform} dispatch");
             }
         }

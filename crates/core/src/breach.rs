@@ -9,7 +9,7 @@
 //! breach is to the rest of the ecosystem.
 
 use crate::analysis::forward_auto;
-use crate::engine::BatchAnalyzer;
+use crate::batch::BatchAnalyzer;
 use crate::profile::AttackerProfile;
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::policy::Platform;

@@ -50,7 +50,7 @@
 pub mod analysis;
 pub mod backward;
 pub mod campaign;
-pub mod engine;
+pub mod batch;
 pub mod breach;
 pub mod counter;
 pub mod dot;

@@ -2,7 +2,7 @@
 //! Table I and the in-text dependency-depth table.
 
 use crate::analysis::{forward_auto, ForwardResult};
-use crate::engine::BatchAnalyzer;
+use crate::batch::BatchAnalyzer;
 use crate::obs;
 use crate::profile::AttackerProfile;
 use actfort_ecosystem::factor::CredentialFactor;

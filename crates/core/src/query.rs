@@ -1,16 +1,11 @@
 //! The unified query facade — one front door for every analysis.
 //!
-//! Historically each consumer picked one of seven free functions
-//! (`forward`, `forward_naive`, `forward_incremental`,
-//! `forward_incremental_unmemoized`, `backward_chains`,
-//! `backward_chains_naive`, `backward_chains_naive_bounded`), wiring
-//! engine choice, memoization and budgets positionally. Those wrappers
-//! are gone; [`Analysis`] is the single builder they all collapsed
-//! into: pick a *source* (a built [`Tdg`] or raw specs), a *direction*
-//! (forward seeds or a backward target), then tune knobs and `run()`.
-//! Engine selection is explicit ([`Engine`]) with [`Engine::Auto`]
-//! reproducing the historical population-size dispatch bit for bit —
-//! including its `obs` counters, so golden traces are unchanged.
+//! [`Analysis`] is the single builder every query goes through: pick a
+//! *source* (a built [`Tdg`] or raw specs), a *direction* (forward
+//! seeds, a backward target, user profiles or a countermeasure set),
+//! then tune knobs and `run()`. Forward, score and backward queries each
+//! have one production engine and one naive reference; [`Engine`]
+//! selects between them, and [`Engine::Auto`] picks by population size.
 //!
 //! Every query accepts an [`EdgeClass`] filter (default
 //! [`EdgeClass::All`], which is byte-identical to the unfiltered
@@ -60,8 +55,8 @@ use crate::analysis::{
     MAX_BACKWARD_PARTIALS, NAIVE_CROSSOVER,
 };
 use crate::backward::BackwardEngine;
+use crate::batch::BatchAnalyzer;
 use crate::counter::{canonical_set, Countermeasure, Patcher};
-use crate::engine::{forward_incremental_impl, BatchAnalyzer};
 use crate::error::Error;
 use crate::metrics::{breakdown_of, DepthBreakdown};
 use crate::obs;
@@ -92,31 +87,27 @@ use actfort_ecosystem::spec::ServiceSpec;
 /// straddle regression test).
 pub const BACKWARD_CROSSOVER: usize = 210;
 
-/// Which implementation serves a query. The facade makes the historical
-/// implicit dispatch explicit; results are engine-independent (property
-/// tested), only the work schedule differs.
+/// Which implementation serves a query: the production engine or the
+/// naive reference. Results are engine-independent (property tested),
+/// only the work schedule differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Population-size dispatch: the naive loop below
-    /// [`crate::analysis::NAIVE_CROSSOVER`] eligible services, the
-    /// incremental / best-first engine at or above it. Identical to the
-    /// historical `forward` / `backward_chains` behaviour, `obs`
-    /// counters included.
+    /// Population-size dispatch: the naive reference below the query
+    /// shape's crossover ([`crate::analysis::NAIVE_CROSSOVER`] eligible
+    /// services for forward and score, [`BACKWARD_CROSSOVER`] for
+    /// backward), the production engine at or above it.
     #[default]
     Auto,
-    /// The interned analysis substrate ([`crate::Prepared`]): compile
-    /// the population once into bitset/integer-coded form, then run the
-    /// fixed point on scratch buffers. What [`Engine::Auto`] serves at
-    /// or above the crossover; explicit selection forces it even on
-    /// small populations. Backward queries treat it as
-    /// [`Engine::Incremental`].
+    /// The production engine, even on small populations. For forward
+    /// queries the interned analysis substrate ([`crate::Prepared`]):
+    /// compile the population once into bitset/integer-coded form, then
+    /// run the fixed point on scratch buffers. For score queries the
+    /// 64-lane sweep on that substrate; for backward queries the
+    /// best-first arena engine ([`BackwardEngine`]).
     Prepared,
-    /// The incremental frontier engine for forward, the best-first
-    /// arena engine for backward.
-    Incremental,
     /// The reference implementation: full-rescan fixed point for
-    /// forward, clone-heavy BFS for backward. Kept for equivalence
-    /// proofs and baselines.
+    /// forward, the scalar one-user loop for score, clone-heavy BFS for
+    /// backward. Kept for equivalence proofs and baselines.
     Naive,
 }
 
@@ -309,7 +300,7 @@ impl<'a> ForwardQuery<'a> {
         self
     }
 
-    /// Toggles the incremental engine's cross-round `min_providers`
+    /// Toggles the prepared substrate's cross-round `min_providers`
     /// memo (default on; ignored by the naive engine, which has none).
     pub fn memo(mut self, enabled: bool) -> Self {
         self.memo = enabled;
@@ -346,7 +337,7 @@ impl<'a> ForwardQuery<'a> {
         match self.engine {
             Engine::Prepared => true,
             Engine::Auto => self.source.eligible() >= NAIVE_CROSSOVER,
-            Engine::Incremental | Engine::Naive => false,
+            Engine::Naive => false,
         }
     }
 
@@ -366,9 +357,6 @@ impl<'a> ForwardQuery<'a> {
             Engine::Auto => forward_auto(specs, platform, &ap, seeds, self.class),
             Engine::Prepared => unreachable!("Engine::Prepared always uses the substrate"),
             Engine::Naive => forward_naive_impl(specs, platform, &ap, seeds, self.class),
-            Engine::Incremental => {
-                forward_incremental_impl(specs, platform, &ap, seeds, self.memo, self.class)
-            }
         }
     }
 
@@ -439,8 +427,8 @@ impl<'a> ForwardQuery<'a> {
 /// there); the knob selects the *schedule*: the 64-lane bit-parallel
 /// sweep ([`Engine::Prepared`], or [`Engine::Auto`] at/above the
 /// forward crossover) versus the scalar one-user-at-a-time reference
-/// loop ([`Engine::Naive`] / [`Engine::Incremental`], or Auto below
-/// it). Results are schedule-independent (property tested).
+/// loop ([`Engine::Naive`], or Auto below it). Results are
+/// schedule-independent (property tested).
 pub struct ScoreQuery<'a> {
     source: Source<'a>,
     profiles: &'a [UserProfile],
@@ -476,7 +464,7 @@ impl<'a> ScoreQuery<'a> {
         match self.engine {
             Engine::Prepared => true,
             Engine::Auto => self.source.eligible() >= NAIVE_CROSSOVER,
-            Engine::Incremental | Engine::Naive => false,
+            Engine::Naive => false,
         }
     }
 
@@ -541,8 +529,9 @@ impl<'a> BackwardQuery<'a> {
         self
     }
 
-    /// Selects the implementation (default [`Engine::Auto`], which for
-    /// backward queries is the best-first engine).
+    /// Selects the implementation (default [`Engine::Auto`]: the naive
+    /// BFS below [`BACKWARD_CROSSOVER`] eligible services, the
+    /// best-first engine at or above it).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -551,7 +540,7 @@ impl<'a> BackwardQuery<'a> {
     /// Serves the query through a prebuilt [`BackwardEngine`] instead
     /// of constructing one, amortizing graph flattening and the
     /// fringe-support memo across queries. Implies
-    /// [`Engine::Incremental`].
+    /// [`Engine::Prepared`].
     pub fn via(mut self, engine: &'a BackwardEngine) -> Self {
         self.via = Some(engine);
         self
@@ -626,7 +615,7 @@ impl<'a> BackwardQuery<'a> {
             }
             Engine::Auto => {
                 obs::add("analysis.backward_dispatch_engine", 1);
-                Engine::Incremental
+                Engine::Prepared
             }
             explicit => explicit,
         };
@@ -642,7 +631,7 @@ impl<'a> BackwardQuery<'a> {
                 };
                 Ok(backward_chains_naive_budget(tdg, self.target, self.max_chains, budget, class))
             }
-            Engine::Auto | Engine::Prepared | Engine::Incremental => {
+            Engine::Auto | Engine::Prepared => {
                 let engine = match &self.source {
                     Source::Graph(tdg) => BackwardEngine::new(tdg),
                     Source::Raw { specs, platform, ap } => {
@@ -897,7 +886,7 @@ mod tests {
         let specs = curated_services();
         for platform in [Platform::Web, Platform::MobileApp] {
             let base = Analysis::over(&specs, platform, ap()).forward(&[]).run().unwrap();
-            for engine in [Engine::Auto, Engine::Prepared, Engine::Incremental, Engine::Naive] {
+            for engine in [Engine::Auto, Engine::Prepared, Engine::Naive] {
                 let got = Analysis::over(&specs, platform, ap())
                     .forward(&[])
                     .engine(engine)
@@ -907,7 +896,7 @@ mod tests {
             }
             let unmemoized = Analysis::over(&specs, platform, ap())
                 .forward(&[])
-                .engine(Engine::Incremental)
+                .engine(Engine::Prepared)
                 .memo(false)
                 .run()
                 .unwrap();
@@ -962,7 +951,7 @@ mod tests {
             for target in &targets {
                 let auto =
                     Analysis::of(&tdg).backward(target).max_chains(4).run().unwrap();
-                for engine in [Engine::Incremental, Engine::Naive] {
+                for engine in [Engine::Prepared, Engine::Naive] {
                     let explicit = Analysis::of(&tdg)
                         .backward(target)
                         .max_chains(4)

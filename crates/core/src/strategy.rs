@@ -52,14 +52,9 @@ impl StrategyEngine {
         self.backward.chains(target, max_chains)
     }
 
-    /// Alias of [`Self::backward_query`] kept for the original API.
-    pub fn attack_chains(&self, target: &ServiceId, max_chains: usize) -> Vec<AttackChain> {
-        self.backward_query(target, max_chains)
-    }
-
     /// The single best (shortest) chain for a target, if any.
     pub fn best_chain(&self, target: &ServiceId) -> Option<AttackChain> {
-        self.attack_chains(target, 8).into_iter().next()
+        self.backward_query(target, 8).into_iter().next()
     }
 
     /// Human-readable rendering of a chain, e.g.

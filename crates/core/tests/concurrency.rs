@@ -1,4 +1,4 @@
-//! Concurrency invariants of [`actfort_core::engine::BatchAnalyzer`]:
+//! Concurrency invariants of [`actfort_core::batch::BatchAnalyzer`]:
 //! results are positionally identical regardless of worker count, and
 //! the lock-free obs counters aggregate to the same totals however the
 //! work is sharded.

@@ -287,7 +287,7 @@ fn backward_auto_dispatch_flips_at_the_crossover() {
         let n = count(counter, &|| {
             Analysis::of(&below)
                 .backward(&"paypal".into())
-                .engine(actfort_core::Engine::Incremental)
+                .engine(actfort_core::Engine::Prepared)
                 .run()
                 .unwrap();
             Analysis::of(&below).backward(&"paypal".into()).via(&engine).run().unwrap();

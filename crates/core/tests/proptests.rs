@@ -212,13 +212,13 @@ proptest! {
         }
     }
 
-    /// Engine equivalence: the incremental frontier engine behind
+    /// Dispatch equivalence: the [`Engine::Auto`] dispatch behind
     /// [`forward`] and the naive full-rescan reference produce identical
     /// round layering, per-service compromise records (round *and*
     /// minimum provider count) and survivor sets, across random
     /// ecosystems, platforms, profiles and seed accounts.
     #[test]
-    fn incremental_engine_matches_naive_reference(
+    fn auto_dispatch_matches_naive_reference(
         seed in any::<u64>(),
         pick in 0usize..16,
         profile_pick in 0usize..3,
@@ -237,14 +237,10 @@ proptest! {
             vec![specs[pick % specs.len()].id.clone()]
         };
         let naive = forward_naive(&specs, platform, &ap, &seeds);
-        let incremental = forward(&specs, platform, &ap, &seeds);
-        prop_assert_eq!(&naive.rounds, &incremental.rounds, "round layering diverged");
-        prop_assert_eq!(&naive.records, &incremental.records, "records diverged");
-        prop_assert_eq!(
-            &naive.uncompromised,
-            &incremental.uncompromised,
-            "survivors diverged"
-        );
+        let auto = forward(&specs, platform, &ap, &seeds);
+        prop_assert_eq!(&naive.rounds, &auto.rounds, "round layering diverged");
+        prop_assert_eq!(&naive.records, &auto.records, "records diverged");
+        prop_assert_eq!(&naive.uncompromised, &auto.uncompromised, "survivors diverged");
     }
 
     /// Substrate equivalence: one [`Prepared`] compilation serves many

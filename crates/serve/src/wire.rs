@@ -74,7 +74,7 @@ fn parse_common(doc: &Json) -> Result<RequestCommon, Error> {
 pub struct ForwardRequest {
     /// Seed accounts assumed already compromised (may be empty).
     pub seeds: Vec<ServiceId>,
-    /// Incremental-engine memo toggle.
+    /// Prepared-engine `min_providers` memo toggle.
     pub memo: bool,
     /// The shared request envelope.
     pub common: RequestCommon,
@@ -164,11 +164,9 @@ fn field_engine(doc: &Json) -> Result<Engine, Error> {
         Some(Json::Str(s)) => match s.as_str() {
             "auto" => Ok(Engine::Auto),
             "prepared" => Ok(Engine::Prepared),
-            "incremental" => Ok(Engine::Incremental),
             "naive" => Ok(Engine::Naive),
             other => Err(Error::Query(format!(
-                "unknown engine {other:?} (expected \"auto\", \"prepared\", \"incremental\" or \
-                 \"naive\")"
+                "unknown engine {other:?} (expected \"auto\", \"prepared\" or \"naive\")"
             ))),
         },
         Some(_) => Err(Error::Query("\"engine\" must be a string".into())),
@@ -193,7 +191,6 @@ pub fn engine_name(engine: Engine) -> &'static str {
     match engine {
         Engine::Auto => "auto",
         Engine::Prepared => "prepared",
-        Engine::Incremental => "incremental",
         Engine::Naive => "naive",
     }
 }
@@ -593,6 +590,9 @@ mod tests {
 
         assert!(parse_forward(br#"{"seeds":"gmail"}"#).is_err());
         assert!(parse_forward(br#"{"engine":"warp"}"#).is_err());
+        let err = parse_forward(br#"{"engine":"incremental"}"#).expect_err("deleted engine");
+        assert_eq!(err.code(), actfort_core::error::CODE_QUERY);
+        assert!(err.to_string().contains(r#"expected "auto", "prepared" or "naive""#), "{err}");
         assert!(parse_forward(b"not json").is_err());
     }
 
@@ -696,7 +696,8 @@ mod tests {
         // Every wire spelling round-trips.
         for cm in Countermeasure::all() {
             let body = format!(r#"{{"countermeasures":["{}"]}}"#, cm.wire_name());
-            let req = parse_whatif(body.as_bytes()).expect(cm.wire_name());
+            let req = parse_whatif(body.as_bytes())
+                .unwrap_or_else(|e| panic!("{}: {e:?}", cm.wire_name()));
             assert_eq!(req.countermeasures, vec![*cm]);
         }
 

@@ -93,7 +93,7 @@ fn main() -> ExitCode {
             let mut found = false;
             for platform in [Platform::Web, Platform::MobileApp] {
                 let engine = StrategyEngine::new(specs.clone(), platform, ap);
-                let chains = engine.attack_chains(&target.as_str().into(), 5);
+                let chains = engine.backward_query(&target.as_str().into(), 5);
                 for chain in &chains {
                     println!("{platform:<7} {}", StrategyEngine::render_chain(chain));
                     found = true;
