@@ -16,6 +16,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --examples"
 cargo build --examples
 
+echo "==> perfbench build (outside the workspace; links the core and serve APIs)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> trace smoke: fig3 --trace + trace_check"
 trace_tmp="$(mktemp -d)"
 trap 'rm -rf "$trace_tmp"' EXIT

@@ -8,7 +8,7 @@ use crate::intrusion::{compromise, CompromisedAccount};
 use actfort_core::analysis::AttackChain;
 use actfort_core::obs;
 use actfort_core::profile::AttackerProfile;
-use actfort_core::strategy::StrategyEngine;
+use actfort_core::query::{Analysis, Engine};
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::host::Ecosystem;
 use actfort_ecosystem::policy::Platform;
@@ -112,7 +112,8 @@ impl ChainReactionAttack {
     ///
     /// # Errors
     ///
-    /// - [`AttackError::NoChain`] when the strategy engine finds no route.
+    /// - [`AttackError::NoChain`] when the backward query finds no route
+    ///   (or does not know the target).
     /// - Intrusion/interception failures if every candidate chain fails.
     pub fn execute(
         &self,
@@ -122,8 +123,14 @@ impl ChainReactionAttack {
     ) -> Result<ChainReport, AttackError> {
         let _span = obs::span("attack.execute");
         let specs: Vec<_> = eco.specs().into_iter().cloned().collect();
-        let engine = StrategyEngine::new(specs, self.platform, self.profile);
-        let chains = engine.backward_query(target, self.max_chains);
+        // The only failure a default-budget query can report is an
+        // unknown target, which has no chain either.
+        let chains = Analysis::over(&specs, self.platform, self.profile)
+            .backward(target)
+            .max_chains(self.max_chains)
+            .engine(Engine::Prepared)
+            .run()
+            .map_err(|_| AttackError::NoChain(target.to_string()))?;
         if chains.is_empty() {
             return Err(AttackError::NoChain(target.to_string()));
         }

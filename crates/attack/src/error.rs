@@ -11,7 +11,7 @@ pub enum AttackError {
     NoViablePath(String),
     /// SMS interception produced no usable code.
     InterceptionFailed(String),
-    /// The strategy engine found no chain to the target.
+    /// The backward query found no chain to the target.
     NoChain(String),
     /// An underlying ecosystem operation failed.
     Ecosystem(actfort_ecosystem::EcosystemError),

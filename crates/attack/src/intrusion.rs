@@ -57,11 +57,7 @@ fn candidate_paths(
     let mut out = Vec::new();
     for purpose in [Purpose::PasswordReset, Purpose::SignIn] {
         for platform in [Platform::MobileApp, Platform::Web] {
-            let available = match platform {
-                Platform::Web => spec.has_web,
-                Platform::MobileApp => spec.has_mobile,
-            };
-            if !available {
+            if !spec.on(platform) {
                 continue;
             }
             for (index, path) in spec.paths_for(platform, purpose).into_iter().enumerate() {
@@ -256,11 +252,7 @@ fn loot_profile(
     let spec = svc.spec();
     dossier.mark_owned(service, spec.domain);
     for platform in [Platform::Web, Platform::MobileApp] {
-        let available = match platform {
-            Platform::Web => spec.has_web,
-            Platform::MobileApp => spec.has_mobile,
-        };
-        if !available {
+        if !spec.on(platform) {
             continue;
         }
         if let Ok(fields) = svc.view_profile(acct.session, platform) {

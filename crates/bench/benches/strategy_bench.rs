@@ -1,8 +1,7 @@
-//! Strategy-engine query latency: backward chain search over full-size
-//! dependency graphs.
+//! Backward-query latency: attack-chain search over full-size dependency
+//! graphs.
 
 use actfort_core::profile::AttackerProfile;
-use actfort_core::strategy::StrategyEngine;
 use actfort_core::{Analysis, Tdg};
 use actfort_ecosystem::policy::Platform;
 use actfort_ecosystem::synth::paper_population;
@@ -29,21 +28,5 @@ fn bench_backward(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_engine_construction(c: &mut Criterion) {
-    let specs = paper_population(5);
-    let mut g = c.benchmark_group("strategy/engine_new_201");
-    g.sample_size(10);
-    g.bench_function("mobile", |b| {
-        b.iter(|| {
-            black_box(StrategyEngine::new(
-                specs.clone(),
-                Platform::MobileApp,
-                AttackerProfile::paper_default(),
-            ))
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_backward, bench_engine_construction);
+criterion_group!(benches, bench_backward);
 criterion_main!(benches);

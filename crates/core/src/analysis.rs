@@ -64,34 +64,6 @@ impl ForwardResult {
 /// `forward_crossover_is_result_invariant`).
 pub const NAIVE_CROSSOVER: usize = 50;
 
-/// The [`crate::query::Engine::Auto`] dispatcher: the naive full-rescan
-/// loop below [`NAIVE_CROSSOVER`] eligible services, the prepared
-/// substrate ([`crate::Prepared`]) at or above it — compile once,
-/// bitset fixed point after. `class` restricts which attack paths may
-/// fire (login-only, recovery-only, or all; see [`EdgeClass`]).
-pub(crate) fn forward_auto(
-    specs: &[ServiceSpec],
-    platform: Platform,
-    ap: &AttackerProfile,
-    seeds: &[ServiceId],
-    class: EdgeClass,
-) -> ForwardResult {
-    let eligible = specs
-        .iter()
-        .filter(|s| match platform {
-            Platform::Web => s.has_web,
-            Platform::MobileApp => s.has_mobile,
-        })
-        .count();
-    if eligible < NAIVE_CROSSOVER {
-        obs::add("analysis.dispatch_naive", 1);
-        forward_naive_impl(specs, platform, ap, seeds, class)
-    } else {
-        obs::add("analysis.dispatch_prepared", 1);
-        crate::prepared::Prepared::new(specs, platform, *ap).forward_in(class, seeds, true)
-    }
-}
-
 /// The naive full-rescan fixed point behind
 /// [`crate::query::Engine::Naive`]: rescans every standing node against
 /// every class-admitted attack path each round and rebuilds provider
@@ -107,13 +79,7 @@ pub(crate) fn forward_naive_impl(
     let _span = obs::span("forward.naive");
     let rounds_counter = obs::counter("naive.rounds");
     let evaluated_counter = obs::counter("naive.nodes_evaluated");
-    let nodes: Vec<&ServiceSpec> = specs
-        .iter()
-        .filter(|s| match platform {
-            Platform::Web => s.has_web,
-            Platform::MobileApp => s.has_mobile,
-        })
-        .collect();
+    let nodes: Vec<&ServiceSpec> = specs.iter().filter(|s| s.on(platform)).collect();
 
     let mut pool = InfoPool::new();
     let mut compromised: BTreeSet<usize> = BTreeSet::new();
@@ -238,6 +204,31 @@ impl AttackChain {
     /// Whether the chain is empty.
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
+    }
+}
+
+/// Renders the chain in execution order, e.g. `ctrip ⇒ alipay` or
+/// `[xiaozhu + china-railway-12306] ⇒ alipay`.
+impl std::fmt::Display for AttackChain {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, step) in self.steps.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" ⇒ ")?;
+            }
+            if let [only] = step.services.as_slice() {
+                write!(f, "{only}")?;
+                continue;
+            }
+            f.write_str("[")?;
+            for (j, s) in step.services.iter().enumerate() {
+                if j > 0 {
+                    f.write_str(" + ")?;
+                }
+                write!(f, "{s}")?;
+            }
+            f.write_str("]")?;
+        }
+        Ok(())
     }
 }
 
@@ -474,6 +465,7 @@ mod tests {
         let r = forward(&specs(), Platform::Web, &ap(), &[]);
         let total: usize = r.compromised_count() + r.uncompromised.len();
         assert!(r.compromised_count() * 100 / total >= 70, "compromised {}/{total}", r.compromised_count());
+        assert!(r.potential_victims().contains(&"paypal".into()));
         // Robust nodes survive.
         assert!(r.uncompromised.contains(&"union-bank".into()));
         assert!(r.uncompromised.contains(&"github".into()));
@@ -629,6 +621,9 @@ mod tests {
         let g = Tdg::build(&specs(), Platform::MobileApp, ap());
         let chains = backward_chains(&g, &"alipay".into(), 8);
         assert!(!chains.is_empty());
+        let rendered = chains[0].to_string();
+        assert!(rendered.ends_with("alipay"), "{rendered}");
+        assert!(chains[0].len() >= 2, "alipay needs at least one middle account");
         let id_sources = ["ctrip", "gome", "xiaozhu", "china-railway-12306", "baidu-pan", "dropbox"];
         assert!(chains.iter().any(|c| c
             .steps
@@ -649,8 +644,7 @@ mod tests {
     fn backward_chain_for_robust_target_is_empty() {
         let g = Tdg::build(&specs(), Platform::Web, ap());
         assert!(backward_chains(&g, &"union-bank".into(), 4).is_empty());
-        // The facade rejects unknown targets instead of silently
-        // returning an empty list like the old free function.
+        // Unknown targets are an error, not an empty answer.
         let err = Analysis::of(&g).backward(&"nonexistent".into()).run().expect_err("unknown");
         assert!(err.is_client_error());
     }
@@ -753,6 +747,17 @@ mod tests {
             assert_eq!(got, expected, "{label}");
             assert_eq!(chains[0].len(), MAX_CHAIN_STEPS, "{label}: exactly at the budget");
         }
+    }
+
+    #[test]
+    fn display_renders_steps_and_couples() {
+        let chain = AttackChain {
+            steps: vec![
+                ChainStep { services: vec!["a".into(), "b".into()] },
+                ChainStep { services: vec!["t".into()] },
+            ],
+        };
+        assert_eq!(chain.to_string(), "[a + b] ⇒ t");
     }
 
     #[test]

@@ -76,26 +76,6 @@ fn set_bit(words: &mut [u64], i: u32) {
     words[(i >> 6) as usize] |= 1u64 << (i & 63);
 }
 
-/// Reusable per-query search state for [`BackwardEngine`]. Every
-/// [`BackwardEngine::chains_bounded_with`] call clears it first, so one
-/// scratch serves any number of queries (against any engine) — arena,
-/// slab and heap keep their high-water-mark allocations instead of
-/// reallocating per query.
-#[derive(Default)]
-pub struct BackwardScratch {
-    arena: Vec<StepNode>,
-    slab: Vec<Option<Partial>>,
-    heap: BinaryHeap<Reverse<(u16, u16, u32)>>,
-    seen: BTreeSet<Vec<ChainStep>>,
-}
-
-impl BackwardScratch {
-    /// An empty scratch; sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// The flattened adjacency and fringe-support memo for one edge-class
 /// view of the TDG. The engine keeps one per materialised class so a
 /// single prewarmed engine serves both `All` and `LoginOnly` queries.
@@ -210,61 +190,18 @@ impl BackwardEngine {
     /// `target`, in the canonical order (fewest steps, fewest accounts,
     /// then lexicographic).
     pub fn chains(&self, target: &ServiceId, max_chains: usize) -> Vec<AttackChain> {
-        self.chains_bounded(target, max_chains, MAX_BACKWARD_PARTIALS).0
+        self.chains_bounded_in(target, max_chains, MAX_BACKWARD_PARTIALS, EdgeClass::All).0
     }
 
-    /// [`Self::chains`] with an explicit partial budget, also reporting
-    /// whether the search was exhaustive (`true`) or cut short by the
-    /// budget (`false`) — the facade's `.budget(..)` / deadline knob.
-    /// The budget caps both slab creations (memory) and heap pops
+    /// [`Self::chains`] under an edge-class filter (`All` or `LoginOnly`;
+    /// see [`graph_index`]) with an explicit partial budget, also
+    /// reporting whether the search was exhaustive (`true`) or cut short
+    /// by the budget (`false`) — the facade's `.budget(..)` / deadline
+    /// knob. The budget caps both slab creations (memory) and heap pops
     /// (time); step-depth prunes do not affect exhaustiveness, matching
     /// the naive reference's semantics.
-    pub fn chains_bounded(
-        &self,
-        target: &ServiceId,
-        max_chains: usize,
-        partial_budget: usize,
-    ) -> (Vec<AttackChain>, bool) {
-        self.chains_bounded_with(&mut BackwardScratch::new(), target, max_chains, partial_budget)
-    }
-
-    /// [`Self::chains_bounded`] under an edge-class filter (`All` or
-    /// `LoginOnly`; see [`graph_index`]).
     pub fn chains_bounded_in(
         &self,
-        target: &ServiceId,
-        max_chains: usize,
-        partial_budget: usize,
-        class: EdgeClass,
-    ) -> (Vec<AttackChain>, bool) {
-        self.chains_bounded_in_with(
-            &mut BackwardScratch::new(),
-            target,
-            max_chains,
-            partial_budget,
-            class,
-        )
-    }
-
-    /// [`Self::chains_bounded`] reusing caller-owned scratch buffers —
-    /// the fast path for query loops (serve keeps one scratch per
-    /// worker). Behaviour is identical; only the allocations are
-    /// amortized.
-    pub fn chains_bounded_with(
-        &self,
-        scratch: &mut BackwardScratch,
-        target: &ServiceId,
-        max_chains: usize,
-        partial_budget: usize,
-    ) -> (Vec<AttackChain>, bool) {
-        self.chains_bounded_in_with(scratch, target, max_chains, partial_budget, EdgeClass::All)
-    }
-
-    /// [`Self::chains_bounded_with`] under an edge-class filter — the
-    /// full-knob entry point behind the query facade.
-    pub fn chains_bounded_in_with(
-        &self,
-        scratch: &mut BackwardScratch,
         target: &ServiceId,
         max_chains: usize,
         partial_budget: usize,
@@ -290,14 +227,13 @@ impl BackwardEngine {
         }
 
         let words = self.ids.len().div_ceil(64);
-        let BackwardScratch { arena, slab, heap, seen } = scratch;
-        arena.clear();
-        slab.clear();
+        let mut arena: Vec<StepNode> = Vec::new();
+        let mut slab: Vec<Option<Partial>> = Vec::new();
         // Min-heap on (steps, accounts, slab index): the slab index is
         // allocation order, giving the FIFO tie-break that makes the
         // search deterministic.
-        heap.clear();
-        seen.clear();
+        let mut heap: BinaryHeap<Reverse<(u16, u16, u32)>> = BinaryHeap::new();
+        let mut seen: BTreeSet<Vec<ChainStep>> = BTreeSet::new();
 
         arena.push(StepNode { group: Group::Single(t as u32), prev: NIL });
         let mut visited = vec![0u64; words];
@@ -417,9 +353,9 @@ impl BackwardEngine {
                     continue;
                 }
                 push_child(
-                    arena,
-                    slab,
-                    heap,
+                    &mut arena,
+                    &mut slab,
+                    &mut heap,
                     &mut exhaustive,
                     Group::Single(parent),
                     &[parent],
@@ -436,7 +372,7 @@ impl BackwardEngine {
                     continue;
                 }
                 let group = Group::Couple { node, k: k as u32 };
-                push_child(arena, slab, heap, &mut exhaustive, group, providers);
+                push_child(&mut arena, &mut slab, &mut heap, &mut exhaustive, group, providers);
             }
         }
 

@@ -8,9 +8,8 @@
 //! leaked information alone. This ranks services by how dangerous their
 //! breach is to the rest of the ecosystem.
 
-use crate::analysis::forward_auto;
-use crate::batch::BatchAnalyzer;
 use crate::profile::AttackerProfile;
+use crate::query::Analysis;
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::policy::Platform;
 use actfort_ecosystem::spec::ServiceSpec;
@@ -40,7 +39,7 @@ impl BlastRadius {
 /// profile (breach *plus* interception).
 ///
 /// The per-seed analyses are independent and run on `threads` worker
-/// threads.
+/// threads, sharing one compiled substrate.
 pub fn blast_radii(
     specs: &[ServiceSpec],
     platform: Platform,
@@ -48,22 +47,22 @@ pub fn blast_radii(
     threads: usize,
 ) -> Vec<BlastRadius> {
     let _span = crate::obs::span("breach.blast_radii");
-    let seeds: Vec<ServiceId> = specs
+    let seeds: Vec<Vec<ServiceId>> =
+        specs.iter().filter(|s| s.on(platform)).map(|s| vec![s.id.clone()]).collect();
+    let results = Analysis::over(specs, platform, *ap)
+        .forward(&[])
+        .threads(threads)
+        .run_each(&seeds)
+        .expect("every seed is drawn from the population");
+    let mut out: Vec<BlastRadius> = seeds
         .iter()
-        .filter(|s| match platform {
-            Platform::Web => s.has_web,
-            Platform::MobileApp => s.has_mobile,
-        })
-        .map(|s| s.id.clone())
-        .collect();
-    let mut out: Vec<BlastRadius> = BatchAnalyzer::new(threads).run(&seeds, |seed| {
-        let r = forward_auto(specs, platform, ap, std::slice::from_ref(seed), actfort_ecosystem::policy::EdgeClass::All);
-        BlastRadius {
-            seed: seed.clone(),
+        .zip(results)
+        .map(|(seed, r)| BlastRadius {
+            seed: seed[0].clone(),
             victims: r.potential_victims(),
             rounds: r.rounds.len().saturating_sub(1),
-        }
-    });
+        })
+        .collect();
     out.sort_by(|a, b| b.cascade_size().cmp(&a.cascade_size()).then(a.seed.cmp(&b.seed)));
     out
 }

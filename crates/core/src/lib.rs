@@ -10,7 +10,7 @@
 //!    full-capacity parents (strong-directivity edges) and couple nodes
 //!    (weak-directivity edges / the Couple File) against an
 //!    [`profile::AttackerProfile`].
-//! 3. **Strategy Output** — [`strategy::StrategyEngine`] answers the two
+//! 3. **Strategy Output** — [`query::Analysis`] answers the two
 //!    queries of §III-E: forward (OAAS → IAD → PAV fixed point) and
 //!    backward (attack chains from phone+SMS fringe nodes to a target).
 //!
@@ -62,7 +62,6 @@ pub mod profile;
 pub mod query;
 pub mod report;
 pub mod score;
-pub mod strategy;
 pub mod tdg;
 
 /// The zero-dependency observability layer ([`actfort_obs`]), re-exported
@@ -81,5 +80,4 @@ pub use score::{OverlayFactor, OverlayScratch, UserOverlay, UserProfile, UserSco
 pub use counter::{Countermeasure, Patcher};
 pub use pool::InfoPool;
 pub use profile::AttackerProfile;
-pub use strategy::StrategyEngine;
 pub use tdg::Tdg;

@@ -1,10 +1,11 @@
 //! Ecosystem measurement statistics — the numbers behind Fig. 3,
 //! Table I and the in-text dependency-depth table.
 
-use crate::analysis::{forward_auto, ForwardResult};
+use crate::analysis::ForwardResult;
 use crate::batch::BatchAnalyzer;
 use crate::obs;
 use crate::profile::AttackerProfile;
+use crate::query::Analysis;
 use actfort_ecosystem::factor::CredentialFactor;
 use actfort_ecosystem::info::PersonalInfoKind;
 use actfort_ecosystem::policy::{PathClass, Platform, Purpose};
@@ -13,13 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 fn on_platform(specs: &[ServiceSpec], platform: Platform) -> Vec<&ServiceSpec> {
-    specs
-        .iter()
-        .filter(|s| match platform {
-            Platform::Web => s.has_web,
-            Platform::MobileApp => s.has_mobile,
-        })
-        .collect()
+    specs.iter().filter(|s| s.on(platform)).collect()
 }
 
 fn pct(num: usize, den: usize) -> f64 {
@@ -146,7 +141,7 @@ pub fn depth_breakdown(
     ap: &AttackerProfile,
 ) -> DepthBreakdown {
     let _span = obs::span("metrics.depth");
-    let result: ForwardResult = forward_auto(specs, platform, ap, &[], actfort_ecosystem::policy::EdgeClass::All);
+    let result = Analysis::over(specs, platform, *ap).forward(&[]).run().expect("no seeds to reject");
     let total = on_platform(specs, platform).len();
     breakdown_of(&result, total)
 }
@@ -205,14 +200,8 @@ pub fn depth_breakdown_overlapping(
 ) -> DepthBreakdown {
     use crate::pool::{attack_paths, path_satisfied, InfoPool};
     let _span = obs::span("metrics.depth_overlapping");
-    let result = forward_auto(specs, platform, ap, &[], actfort_ecosystem::policy::EdgeClass::All);
-    let nodes: Vec<&ServiceSpec> = specs
-        .iter()
-        .filter(|s| match platform {
-            Platform::Web => s.has_web,
-            Platform::MobileApp => s.has_mobile,
-        })
-        .collect();
+    let result = Analysis::over(specs, platform, *ap).forward(&[]).run().expect("no seeds to reject");
+    let nodes = on_platform(specs, platform);
 
     // Pools after zero, one and two layers of compromise, plus
     // per-service singleton pools for the full/half capacity split: a

@@ -412,10 +412,7 @@ impl Prepared {
         obs::add("engine.prepares", 1);
         let specs: Vec<ServiceSpec> = specs
             .iter()
-            .filter(|s| match platform {
-                Platform::Web => s.has_web,
-                Platform::MobileApp => s.has_mobile,
-            })
+            .filter(|s| s.on(platform))
             .cloned()
             .collect();
         let n = specs.len();

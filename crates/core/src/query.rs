@@ -46,12 +46,10 @@
 //! ```
 //!
 //! Every `run()` returns `Result<_, `[`Error`]`>`: unknown service ids
-//! and malformed knobs surface as typed client errors instead of being
-//! silently ignored (the old free functions dropped unknown seeds and
-//! returned empty chain lists for unknown targets).
+//! and malformed knobs surface as typed client errors.
 
 use crate::analysis::{
-    backward_chains_naive_budget, forward_auto, forward_naive_impl, AttackChain, ForwardResult,
+    backward_chains_naive_budget, forward_naive_impl, AttackChain, ForwardResult,
     MAX_BACKWARD_PARTIALS, NAIVE_CROSSOVER,
 };
 use crate::backward::BackwardEngine;
@@ -159,6 +157,15 @@ impl Source<'_> {
         }
     }
 
+    /// Runs `f` against the dependency graph: a graph source is one; a
+    /// raw source builds it here, once per query.
+    fn with_graph<R>(&self, f: impl FnOnce(&Tdg) -> R) -> R {
+        match self {
+            Source::Graph(tdg) => f(tdg),
+            Source::Raw { specs, platform, ap } => f(&Tdg::build(specs, *platform, *ap)),
+        }
+    }
+
     /// The substrate as a shareable handle: a graph source clones its
     /// existing `Arc`, a raw source compiles one here.
     fn substrate_arc(&self) -> std::sync::Arc<Prepared> {
@@ -176,13 +183,7 @@ impl Source<'_> {
     fn eligible(&self) -> usize {
         match self {
             Source::Graph(tdg) => tdg.node_count(),
-            Source::Raw { specs, platform, .. } => specs
-                .iter()
-                .filter(|s| match platform {
-                    Platform::Web => s.has_web,
-                    Platform::MobileApp => s.has_mobile,
-                })
-                .count(),
+            Source::Raw { specs, platform, .. } => specs.iter().filter(|s| s.on(*platform)).count(),
         }
     }
 }
@@ -341,28 +342,21 @@ impl<'a> ForwardQuery<'a> {
         }
     }
 
-    /// Runs `f` against the substrate (see [`Source::with_substrate`]).
-    fn with_substrate<R>(&self, f: impl FnOnce(&Prepared) -> R) -> R {
-        self.source.with_substrate(f)
-    }
-
     fn dispatch(&self, seeds: &[ServiceId]) -> ForwardResult {
-        let (specs, platform) = (self.source.specs(), self.source.platform());
-        let ap = self.source.profile();
-        match self.engine {
-            Engine::Auto | Engine::Prepared if self.uses_prepared() => {
-                obs::add("analysis.dispatch_prepared", 1);
-                self.with_substrate(|p| p.forward_in(self.class, seeds, self.memo))
+        if self.uses_prepared() {
+            obs::add("analysis.dispatch_prepared", 1);
+            self.source.with_substrate(|p| p.forward_in(self.class, seeds, self.memo))
+        } else {
+            if self.engine == Engine::Auto {
+                obs::add("analysis.dispatch_naive", 1);
             }
-            Engine::Auto => forward_auto(specs, platform, &ap, seeds, self.class),
-            Engine::Prepared => unreachable!("Engine::Prepared always uses the substrate"),
-            Engine::Naive => forward_naive_impl(specs, platform, &ap, seeds, self.class),
+            let (specs, platform) = (self.source.specs(), self.source.platform());
+            forward_naive_impl(specs, platform, &self.source.profile(), seeds, self.class)
         }
     }
 
     /// Runs the query. Fails with [`Error::UnknownService`] if a seed
-    /// names a service absent from the population (the old free
-    /// functions silently ignored such seeds).
+    /// names a service absent from the population.
     pub fn run(&self) -> Result<ForwardResult, Error> {
         self.validate()?;
         let _span = self.trace.map(obs::span);
@@ -391,7 +385,7 @@ impl<'a> ForwardQuery<'a> {
         };
         let _span = self.trace.map(obs::span);
         if self.uses_prepared() {
-            return Ok(self.with_substrate(|prepared| {
+            return Ok(self.source.with_substrate(|prepared| {
                 analyzer.run_with(
                     seed_sets,
                     || prepared.scratch(),
@@ -581,18 +575,6 @@ impl<'a> BackwardQuery<'a> {
     /// top-`max_chains` too — membership can be decided from the two
     /// truncated lists alone.
     pub fn run_bounded(&self) -> Result<(Vec<AttackChain>, bool), Error> {
-        if self.class == EdgeClass::RecoveryOnly {
-            let (all, ex_all) = self.run_bounded_in(EdgeClass::All)?;
-            let (login, ex_login) = self.run_bounded_in(EdgeClass::LoginOnly)?;
-            let chains = all.into_iter().filter(|c| !login.contains(c)).collect();
-            return Ok((chains, ex_all && ex_login));
-        }
-        self.run_bounded_in(self.class)
-    }
-
-    /// The single-class search behind [`Self::run_bounded`]; accepts
-    /// only the two classes the engines materialise.
-    fn run_bounded_in(&self, class: EdgeClass) -> Result<(Vec<AttackChain>, bool), Error> {
         if !self.source.knows(self.target) {
             return Err(Error::UnknownService(self.target.to_string()));
         }
@@ -600,9 +582,12 @@ impl<'a> BackwardQuery<'a> {
             return Err(Error::Query("backward budget must be positive".into()));
         }
         let budget = self.budget.unwrap_or(MAX_BACKWARD_PARTIALS);
+        let (target, max_chains) = (self.target, self.max_chains);
         let _span = self.trace.map(obs::span);
         if let Some(engine) = self.via {
-            return Ok(engine.chains_bounded_in(self.target, self.max_chains, budget, class));
+            return Ok(by_class(self.class, |class| {
+                engine.chains_bounded_in(target, max_chains, budget, class)
+            }));
         }
         // Auto mirrors the forward crossover: naive BFS below
         // [`BACKWARD_CROSSOVER`] eligible services (the best-first
@@ -619,29 +604,33 @@ impl<'a> BackwardQuery<'a> {
             }
             explicit => explicit,
         };
-        match engine {
-            Engine::Naive => {
-                let owned;
-                let tdg = match &self.source {
-                    Source::Graph(tdg) => *tdg,
-                    Source::Raw { specs, platform, ap } => {
-                        owned = Tdg::build(specs, *platform, *ap);
-                        &owned
-                    }
-                };
-                Ok(backward_chains_naive_budget(tdg, self.target, self.max_chains, budget, class))
-            }
-            Engine::Auto | Engine::Prepared => {
-                let engine = match &self.source {
-                    Source::Graph(tdg) => BackwardEngine::new(tdg),
-                    Source::Raw { specs, platform, ap } => {
-                        BackwardEngine::new(&Tdg::build(specs, *platform, *ap))
-                    }
-                };
-                Ok(engine.chains_bounded_in(self.target, self.max_chains, budget, class))
-            }
-        }
+        Ok(if engine == Engine::Naive {
+            self.source.with_graph(|tdg| {
+                by_class(self.class, |class| {
+                    backward_chains_naive_budget(tdg, target, max_chains, budget, class)
+                })
+            })
+        } else {
+            let engine = self.source.with_graph(BackwardEngine::new);
+            by_class(self.class, |class| engine.chains_bounded_in(target, max_chains, budget, class))
+        })
     }
+}
+
+/// Runs a backward `search` under `class`. The engines materialise only
+/// `All` and `LoginOnly`; [`EdgeClass::RecoveryOnly`] is answered as the
+/// canonical difference `chains(All) ∖ chains(LoginOnly)`, exhaustive
+/// only if both searches were.
+fn by_class(
+    class: EdgeClass,
+    search: impl Fn(EdgeClass) -> (Vec<AttackChain>, bool),
+) -> (Vec<AttackChain>, bool) {
+    if class != EdgeClass::RecoveryOnly {
+        return search(class);
+    }
+    let (all, ex_all) = search(EdgeClass::All);
+    let (login, ex_login) = search(EdgeClass::LoginOnly);
+    (all.into_iter().filter(|c| !login.contains(c)).collect(), ex_all && ex_login)
 }
 
 /// The answer of a what-if query: the population's depth breakdown
@@ -787,47 +776,15 @@ impl<'a> WhatifQuery<'a> {
             let engine = match self.backward_via {
                 Some(e) => e,
                 None => {
-                    owned_engine = match &self.source {
-                        Source::Graph(tdg) => BackwardEngine::new(tdg),
-                        Source::Raw { specs, platform, ap } => {
-                            BackwardEngine::new(&Tdg::build(specs, *platform, *ap))
-                        }
-                    };
+                    owned_engine = self.source.with_graph(BackwardEngine::new);
                     &owned_engine
                 }
             };
-            let chains_for = |target: &ServiceId| -> Vec<AttackChain> {
-                match self.class {
-                    EdgeClass::RecoveryOnly => {
-                        let all = engine
-                            .chains_bounded_in(
-                                target,
-                                self.chains_per_target,
-                                MAX_BACKWARD_PARTIALS,
-                                EdgeClass::All,
-                            )
-                            .0;
-                        let login = engine
-                            .chains_bounded_in(
-                                target,
-                                self.chains_per_target,
-                                MAX_BACKWARD_PARTIALS,
-                                EdgeClass::LoginOnly,
-                            )
-                            .0;
-                        all.into_iter().filter(|c| !login.contains(c)).collect()
-                    }
-                    class => {
-                        engine
-                            .chains_bounded_in(
-                                target,
-                                self.chains_per_target,
-                                MAX_BACKWARD_PARTIALS,
-                                class,
-                            )
-                            .0
-                    }
-                }
+            let chains_for = |target: &ServiceId| {
+                by_class(self.class, |class| {
+                    engine.chains_bounded_in(target, self.chains_per_target, MAX_BACKWARD_PARTIALS, class)
+                })
+                .0
             };
             'targets: for target in &protected {
                 for chain in chains_for(target) {

@@ -2,11 +2,10 @@
 //! operator: how their account can fall, through whom, and which of the
 //! paper's countermeasures would help.
 
-use crate::analysis::forward_auto;
 use crate::backward::BackwardEngine;
 use crate::pool::attack_paths;
 use crate::profile::AttackerProfile;
-use crate::strategy::StrategyEngine;
+use crate::query::Analysis;
 use crate::tdg::Tdg;
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::info::Masking;
@@ -64,7 +63,7 @@ pub struct RiskAssessment {
 pub fn assess(specs: &[ServiceSpec], platform: Platform, ap: &AttackerProfile) -> Vec<RiskAssessment> {
     let tdg = Tdg::build(specs, platform, *ap);
     let backward = BackwardEngine::new(&tdg);
-    let fwd = forward_auto(specs, platform, ap, &[], actfort_ecosystem::policy::EdgeClass::All);
+    let fwd = Analysis::of(&tdg).forward(&[]).run().expect("no seeds to reject");
     let mut out = Vec::with_capacity(tdg.node_count());
     for i in 0..tdg.node_count() {
         let spec = tdg.spec(i);
@@ -79,7 +78,7 @@ pub fn assess(specs: &[ServiceSpec], platform: Platform, ap: &AttackerProfile) -
             .chains(&spec.id, 1)
             .into_iter()
             .next()
-            .map(|c| StrategyEngine::render_chain(&c));
+            .map(|c| c.to_string());
         let clear_leaks: Vec<String> = spec
             .exposure_on(platform)
             .iter()

@@ -8,7 +8,7 @@
 
 use actfort_core::profile::AttackerProfile;
 use actfort_core::query::{Analysis, BACKWARD_CROSSOVER};
-use actfort_core::{obs, ForwardResult, Tdg};
+use actfort_core::{breach, obs, report, ForwardResult, Tdg};
 use actfort_ecosystem::dataset::curated_services;
 use actfort_ecosystem::policy::Platform;
 use actfort_ecosystem::synth::{generate, paper_population, SynthConfig};
@@ -294,4 +294,33 @@ fn backward_auto_dispatch_flips_at_the_crossover() {
         });
         assert_eq!(n, 0, "{counter} must stay untouched by explicit/via routing");
     }
+}
+
+#[test]
+fn breach_and_report_compile_the_substrate_once() {
+    let _g = obs_lock();
+    let prepares = |f: &dyn Fn()| {
+        obs::reset();
+        obs::set_enabled(true);
+        f();
+        obs::set_enabled(false);
+        let n = obs::snapshot().counters.get("engine.prepares").copied().unwrap_or(0);
+        obs::reset();
+        n
+    };
+    let specs = paper_population(5);
+    assert_eq!(specs.len(), 201);
+
+    // One substrate shared by every per-seed forward run, not one
+    // compile per seed.
+    let n = prepares(&|| {
+        breach::blast_radii(&specs, Platform::Web, &AttackerProfile::none(), 2);
+    });
+    assert_eq!(n, 1, "blast radii compile once for the whole sweep");
+
+    // The report's forward pass reuses the graph's own substrate.
+    let n = prepares(&|| {
+        report::assess(&specs, Platform::Web, &AttackerProfile::paper_default());
+    });
+    assert_eq!(n, 1, "the report compiles only the graph's substrate");
 }

@@ -114,6 +114,15 @@ impl ServiceSpec {
         }
     }
 
+    /// Whether the service exists on `platform` (as a website or an
+    /// app) — the eligibility test every platform-scoped analysis uses.
+    pub fn on(&self, platform: Platform) -> bool {
+        match platform {
+            Platform::Web => self.has_web,
+            Platform::MobileApp => self.has_mobile,
+        }
+    }
+
     /// Paths available on `platform` for `purpose`.
     pub fn paths_for(&self, platform: Platform, purpose: Purpose) -> Vec<&AuthPath> {
         self.paths

@@ -436,10 +436,7 @@ mod tests {
         let pop = generate(400, 5, &SynthConfig::default());
         let count = |platform: Platform, kind: K| {
             pop.iter()
-                .filter(|s| match platform {
-                    Platform::Web => s.has_web,
-                    Platform::MobileApp => s.has_mobile,
-                })
+                .filter(|s| s.on(platform))
                 .filter(|s| s.exposes(platform, kind))
                 .count() as f64
         };
@@ -455,10 +452,7 @@ mod tests {
         for s in generate(100, 9, &SynthConfig::default()) {
             let platforms: Vec<Platform> = [Platform::Web, Platform::MobileApp]
                 .into_iter()
-                .filter(|&p| match p {
-                    Platform::Web => s.has_web,
-                    Platform::MobileApp => s.has_mobile,
-                })
+                .filter(|&p| s.on(p))
                 .collect();
             assert!(!platforms.is_empty());
             for p in platforms {

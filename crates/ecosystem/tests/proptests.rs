@@ -102,11 +102,7 @@ proptest! {
         for s in &pop {
             prop_assert!(s.has_web || s.has_mobile);
             for platform in [Platform::Web, Platform::MobileApp] {
-                let present = match platform {
-                    Platform::Web => s.has_web,
-                    Platform::MobileApp => s.has_mobile,
-                };
-                if present {
+                if s.on(platform) {
                     prop_assert!(!s.paths_for(platform, Purpose::SignIn).is_empty());
                     prop_assert!(!s.paths_for(platform, Purpose::PasswordReset).is_empty());
                 } else {

@@ -1,5 +1,5 @@
 //! Quickstart: build the dependency graph over the curated 44-service
-//! dataset, inspect its shape, and ask the strategy engine both of the
+//! dataset, inspect its shape, and ask the query facade both of the
 //! paper's questions.
 //!
 //! ```sh
@@ -8,7 +8,7 @@
 
 use actfort::core::dot;
 use actfort::core::profile::AttackerProfile;
-use actfort::core::strategy::StrategyEngine;
+use actfort::core::{Analysis, Tdg};
 use actfort::ecosystem::dataset::curated_services;
 use actfort::ecosystem::policy::Platform;
 
@@ -16,9 +16,9 @@ fn main() {
     // The attacker profile of the paper: knows the victim's number and
     // can intercept SMS codes.
     let ap = AttackerProfile::paper_default();
-    let engine = StrategyEngine::new(curated_services(), Platform::MobileApp, ap);
+    let tdg = Tdg::build(&curated_services(), Platform::MobileApp, ap);
 
-    let stats = dot::stats(engine.tdg());
+    let stats = dot::stats(&tdg);
     println!("Transformation Dependency Graph (mobile):");
     println!("  nodes: {} ({} fringe / {} internal)", stats.nodes, stats.fringe, stats.internal);
     println!("  strong-directivity edges: {}", stats.strong_edges);
@@ -27,7 +27,7 @@ fn main() {
 
     // Question 1 (forward): what falls, starting from nothing but the
     // attacker profile?
-    let forward = engine.potential_victims(&[]);
+    let forward = Analysis::of(&tdg).forward(&[]).run().expect("no seeds to reject");
     println!(
         "Forward analysis: {} of {} accounts compromised in {} rounds",
         forward.compromised_count(),
@@ -39,10 +39,13 @@ fn main() {
 
     // Question 2 (backward): how do I reach a hardened Fintech target?
     for target in ["alipay", "paypal", "union-bank"] {
-        match engine.best_chain(&target.into()) {
-            Some(chain) => {
-                println!("Attack chain for {target}: {}", StrategyEngine::render_chain(&chain));
-            }
+        let chains = Analysis::of(&tdg)
+            .backward(&target.into())
+            .max_chains(1)
+            .run()
+            .expect("curated service ids");
+        match chains.first() {
+            Some(chain) => println!("Attack chain for {target}: {chain}"),
             None => println!("Attack chain for {target}: none — the account resists this profile"),
         }
     }

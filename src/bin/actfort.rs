@@ -14,8 +14,7 @@
 //! 201-service calibrated population.
 
 use actfort::core::profile::AttackerProfile;
-use actfort::core::strategy::StrategyEngine;
-use actfort::core::{breach, dot, metrics, report, Tdg};
+use actfort::core::{breach, dot, metrics, report, Analysis, Tdg};
 use actfort::ecosystem::dataset::curated_services;
 use actfort::ecosystem::policy::{Platform, Purpose};
 use actfort::ecosystem::synth::paper_population;
@@ -90,13 +89,22 @@ fn main() -> ExitCode {
                 eprintln!("chain: missing <service-id>");
                 return ExitCode::FAILURE;
             };
+            let target = target.as_str().into();
             let mut found = false;
             for platform in [Platform::Web, Platform::MobileApp] {
-                let engine = StrategyEngine::new(specs.clone(), platform, ap);
-                let chains = engine.backward_query(&target.as_str().into(), 5);
-                for chain in &chains {
-                    println!("{platform:<7} {}", StrategyEngine::render_chain(chain));
-                    found = true;
+                // A raw-spec source accepts a service that exists on the
+                // other platform only; it has no chains here.
+                match Analysis::over(&specs, platform, ap).backward(&target).max_chains(5).run() {
+                    Ok(chains) => {
+                        for chain in &chains {
+                            println!("{platform:<7} {chain}");
+                            found = true;
+                        }
+                    }
+                    Err(e) => {
+                        eprintln!("chain: {e}");
+                        return ExitCode::FAILURE;
+                    }
                 }
             }
             if !found {

@@ -9,8 +9,8 @@
 //!
 //! The sub-crates are re-exported under short names:
 //!
-//! - [`core`] — Transformation Dependency Graph, strategy engine,
-//!   countermeasures ([`actfort_core`]).
+//! - [`core`] — Transformation Dependency Graph, the forward/backward
+//!   query facade `Analysis`, countermeasures ([`actfort_core`]).
 //! - [`ecosystem`] — executable online-service simulators and the
 //!   curated/synthetic service populations ([`actfort_ecosystem`]).
 //! - [`gsm`] — the GSM/SMS substrate: PDUs, A5/1, sniffing, MitM

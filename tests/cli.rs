@@ -66,4 +66,8 @@ fn bad_usage_fails() {
     assert!(!ok);
     let (_, ok) = run(&["chain"]);
     assert!(!ok);
+    // An unknown id is an error, not an empty answer.
+    let (stdout, ok) = run(&["chain", "not-a-service"]);
+    assert!(!ok);
+    assert!(!stdout.contains("no chain reaches"), "{stdout}");
 }

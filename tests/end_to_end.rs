@@ -133,12 +133,10 @@ fn strategy_predictions_match_executable_reality() {
     // must actually resist.
     let mut world = CaseWorld::new(31);
     let specs: Vec<_> = world.eco.specs().into_iter().cloned().collect();
-    let engine = actfort::core::strategy::StrategyEngine::new(
-        specs,
-        Platform::Web,
-        AttackerProfile::paper_default(),
-    );
-    let forward = engine.potential_victims(&[]);
+    let forward = actfort::core::Analysis::over(&specs, Platform::Web, AttackerProfile::paper_default())
+        .forward(&[])
+        .run()
+        .unwrap();
 
     // Sample a handful of predicted victims and all survivors.
     let attack = ChainReactionAttack { platform: Platform::Web, ..Default::default() };
